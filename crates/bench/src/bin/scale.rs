@@ -9,8 +9,19 @@
 //!
 //! Also guards the `Regions::region_of` fix: per-lookup cost must stay
 //! roughly flat as the design grows (the old linear scan scaled with the
-//! region sizes, making the DDG/SDC loops quadratic). On violation the
-//! binary exits non-zero, so `scripts/verify.sh` can gate on it.
+//! region sizes, making the DDG/SDC loops quadratic).
+//!
+//! And guards per-unit pass cost: on a ladder of pipelines that grow by
+//! adding identical stages (so every region and flip-flop is the same
+//! work at every size), the serial per-flip-flop cost of `ffsub` and the
+//! per-region costs of `region-delays` and `control-network` — each the
+//! minimum over [`UNIT_REPS`] runs of the pass wall from the flow trace —
+//! must not grow more than [`UNIT_RATIO_LIMIT`]x from the smallest to the
+//! largest size. A per-unit step that redoes whole-design work (say, a
+//! copy of the module's symbol table per flip-flop) fails it.
+//!
+//! On any violation the binary exits non-zero, so `scripts/verify.sh` can
+//! gate on it.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -23,6 +34,22 @@ use drd_liberty::vlib90;
 
 /// (stages, cloud gates per stage, register lanes per stage) steps.
 const STEPS: [(usize, usize, usize); 4] = [(4, 60, 4), (4, 120, 6), (6, 200, 8), (8, 320, 8)];
+
+/// Stage counts of the per-unit cost ladder (8x from first to last); every
+/// stage has [`UNIT_CLOUD`] gates and [`UNIT_LANES`] flip-flops.
+const UNIT_STAGES: [usize; 4] = [8, 16, 32, 64];
+const UNIT_CLOUD: usize = 24;
+const UNIT_LANES: usize = 4;
+/// Serial flow runs per ladder size; each pass wall is the minimum.
+const UNIT_REPS: usize = 9;
+/// Largest allowed growth of a per-unit cost over the ladder.
+const UNIT_RATIO_LIMIT: f64 = 2.0;
+/// `(pass, unit)` pairs the ladder guards.
+const UNIT_PASSES: [(&str, &str); 3] = [
+    ("ffsub", "ff"),
+    ("region-delays", "region"),
+    ("control-network", "region"),
+];
 
 fn out_dir() -> PathBuf {
     std::env::var("DRD_BENCH_DIR").map_or_else(
@@ -59,6 +86,35 @@ fn recipe(rng: &mut Rng, stages: usize, cloud: usize, width: usize) -> NetRecipe
         input_bits: rng.next_u64(),
         stages,
     }
+}
+
+/// Per-unit cost of each [`UNIT_PASSES`] entry at one ladder size (µs).
+fn unit_costs(tool: &Desynchronizer<'_>, module: &drd_netlist::Module) -> ([f64; 3], usize, usize) {
+    let opts = DesyncOptions {
+        jobs: Some(1),
+        ..DesyncOptions::default()
+    };
+    let mut best = [f64::INFINITY; 3];
+    let (mut ffs, mut regions) = (0, 0);
+    for _ in 0..UNIT_REPS {
+        let (result, trace) = tool.run_traced(module.clone(), &opts).expect("flow runs");
+        ffs = result.report.substituted_ffs;
+        regions = result.report.regions.len();
+        for (k, (pass, _)) in UNIT_PASSES.iter().enumerate() {
+            let wall = trace
+                .passes
+                .iter()
+                .find(|p| p.name == *pass)
+                .map_or(0, |p| p.wall_ns);
+            best[k] = best[k].min(wall as f64 / 1e3);
+        }
+    }
+    let units = |unit: &str| if unit == "ff" { ffs } else { regions }.max(1) as f64;
+    let mut per_unit = [0.0; 3];
+    for (k, (_, unit)) in UNIT_PASSES.iter().enumerate() {
+        per_unit[k] = best[k] / units(unit);
+    }
+    (per_unit, ffs, regions)
 }
 
 struct Point {
@@ -148,6 +204,35 @@ fn main() {
         std::process::exit(1);
     }
 
+    // Per-unit pass cost over the uniform-stage ladder.
+    let mut unit_rows: Vec<(usize, usize, usize, [f64; 3])> = Vec::new();
+    for stages in UNIT_STAGES {
+        let module = recipe(&mut rng, stages, UNIT_CLOUD, UNIT_LANES)
+            .build()
+            .expect("recipe builds");
+        let (per_unit, ffs, regions) = unit_costs(&tool, &module);
+        eprintln!(
+            "{stages:>4} stages: {ffs} ffs, {regions} regions, ffsub {:.2} us/ff, \
+             region-delays {:.2} us/region, control-network {:.2} us/region",
+            per_unit[0], per_unit[1], per_unit[2]
+        );
+        unit_rows.push((stages, ffs, regions, per_unit));
+    }
+    let unit_ratio: Vec<f64> = (0..UNIT_PASSES.len())
+        .map(|k| unit_rows[unit_rows.len() - 1].3[k] / unit_rows[0].3[k].max(1e-3))
+        .collect();
+    for (k, (pass, unit)) in UNIT_PASSES.iter().enumerate() {
+        if unit_ratio[k] > UNIT_RATIO_LIMIT {
+            eprintln!(
+                "{pass} per-{unit} cost grew {:.2}x over an {}x larger design (limit \
+                 {UNIT_RATIO_LIMIT}x) — some per-{unit} step does whole-design work",
+                unit_ratio[k],
+                UNIT_STAGES[UNIT_STAGES.len() - 1] / UNIT_STAGES[0],
+            );
+            std::process::exit(1);
+        }
+    }
+
     let speedup = points
         .iter()
         .map(|p| p.serial_ns as f64 / p.parallel_ns.max(1) as f64)
@@ -157,6 +242,24 @@ fn main() {
     out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
     out.push_str(&format!("  \"lookup_ratio\": {lookup_ratio:.3},\n"));
+    out.push_str(&format!(
+        "  \"ffsub_per_ff_ratio\": {:.3},\n  \"region_delays_per_region_ratio\": {:.3},\n  \
+         \"control_network_per_region_ratio\": {:.3},\n",
+        unit_ratio[0], unit_ratio[1], unit_ratio[2]
+    ));
+    out.push_str("  \"unit_cost\": [\n");
+    for (i, (stages, ffs, regions, c)) in unit_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"stages\": {stages}, \"ffs\": {ffs}, \"regions\": {regions}, \
+             \"ffsub_us_per_ff\": {:.3}, \"region_delays_us_per_region\": {:.3}, \
+             \"control_network_us_per_region\": {:.3}}}{}\n",
+            c[0],
+            c[1],
+            c[2],
+            if i + 1 == unit_rows.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n");
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(

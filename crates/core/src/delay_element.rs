@@ -75,7 +75,15 @@ pub fn build_fixed(name: &str, levels: usize) -> Module {
 /// # Errors
 /// Propagates STA errors.
 pub fn mux_overhead_levels(lib: &Library) -> Result<usize, DesyncError> {
-    let per_level = level_delay_ns(lib)?;
+    mux_overhead_levels_at(lib, level_delay_ns(lib)?)
+}
+
+/// [`mux_overhead_levels`] given the already-measured per-level delay
+/// (see [`crate::timing::LibraryTiming`]).
+///
+/// # Errors
+/// Propagates STA errors.
+pub(crate) fn mux_overhead_levels_at(lib: &Library, per_level: f64) -> Result<usize, DesyncError> {
     let one = measure_delay(&build_muxed("drd_muxprobe", 1, 0), lib, Corner::typical())?;
     Ok(((one - per_level) / per_level).ceil().max(0.0) as usize)
 }
@@ -191,13 +199,10 @@ pub fn level_delay_ns(lib: &Library) -> Result<f64, DesyncError> {
 }
 
 /// Chooses the chain length whose delay covers `target_ns` with `margin`
-/// (e.g. 1.1 for +10 %).
-///
-/// # Errors
-/// Propagates STA errors.
-pub fn levels_for_delay(lib: &Library, target_ns: f64, margin: f64) -> Result<usize, DesyncError> {
-    let per_level = level_delay_ns(lib)?;
-    Ok(((target_ns * margin / per_level).ceil() as usize).max(1))
+/// (e.g. 1.1 for +10 %), given the per-level delay from
+/// [`level_delay_ns`] (see [`crate::timing::LibraryTiming`]).
+pub fn levels_at(per_level_ns: f64, target_ns: f64, margin: f64) -> usize {
+    ((target_ns * margin / per_level_ns).ceil() as usize).max(1)
 }
 
 #[cfg(test)]
@@ -217,7 +222,7 @@ mod tests {
     fn sizing_meets_target() {
         let lib = vlib90::high_speed();
         let target = 0.8;
-        let levels = levels_for_delay(&lib, target, 1.1).unwrap();
+        let levels = levels_at(level_delay_ns(&lib).unwrap(), target, 1.1);
         let delay = measure_delay(&build_fixed("dx", levels), &lib, Corner::typical()).unwrap();
         assert!(delay >= target, "sized delay {delay} ≥ target {target}");
         assert!(delay < target * 1.6, "not grossly oversized: {delay}");

@@ -2,6 +2,7 @@
 //! compatibility wrapper over the instrumented [`crate::pipeline`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::{Corner, Library, SeqKind};
@@ -10,6 +11,7 @@ use drd_sta::{GraphOptions, SubsetContext, TimingGraph};
 
 use crate::pipeline::{FlowContext, FlowTrace, Pipeline};
 use crate::region::{GroupingOptions, Regions};
+use crate::timing::LibraryTiming;
 use crate::DesyncError;
 
 /// Options for a desynchronization run.
@@ -174,6 +176,10 @@ pub struct DesyncResult {
 pub struct Desynchronizer<'a> {
     lib: &'a Library,
     gatefile: Gatefile,
+    /// The library's timing model, filled on the first flow that needs
+    /// it and shared by every context this tool creates — never probed
+    /// here in `new`, so preparing a tool stays as cheap as the gatefile.
+    timing: Arc<LibraryTiming>,
 }
 
 impl<'a> Desynchronizer<'a> {
@@ -186,6 +192,7 @@ impl<'a> Desynchronizer<'a> {
         Ok(Desynchronizer {
             lib,
             gatefile: Gatefile::from_library(lib)?,
+            timing: Arc::default(),
         })
     }
 
@@ -239,7 +246,8 @@ impl<'a> Desynchronizer<'a> {
         module: Module,
         opts: &DesyncOptions,
     ) -> (Result<DesyncResult, DesyncError>, FlowTrace) {
-        let mut cx = FlowContext::new(self.lib, &self.gatefile, module, opts.clone());
+        let mut cx = FlowContext::new(self.lib, &self.gatefile, module, opts.clone())
+            .with_timing(Arc::clone(&self.timing));
         let (trace, err) = Pipeline::standard().run_recording(&mut cx, None);
         match err {
             Some(e) => (Err(e), trace),
@@ -278,8 +286,6 @@ pub fn region_delays_with(
     let cx = SubsetContext::new(module, lib)?;
     let cell_ids: HashMap<&str, drd_netlist::CellId> =
         module.cells().map(|(id, c)| (c.name, id)).collect();
-    let kind_of: HashMap<&str, &str> =
-        module.cells().map(|(_, c)| (c.name, c.kind_name())).collect();
     let members: Vec<Vec<drd_netlist::CellId>> = regions
         .regions
         .iter()
@@ -297,8 +303,12 @@ pub fn region_delays_with(
         let arrivals = graph.arrivals(Corner::typical())?;
         let mut worst = 0.0f64;
         for cell_name in &regions.regions[i].seq_cells {
-            let Some(kind) = kind_of.get(cell_name.as_str()) else { continue };
-            let Some(lc) = lib.cell(kind) else { continue };
+            let Some(&cid) = cell_ids.get(cell_name.as_str()) else {
+                continue;
+            };
+            let Some(lc) = lib.cell(module.cell(cid).kind_name()) else {
+                continue;
+            };
             let clockish = match &lc.seq {
                 SeqKind::FlipFlop(ff) => Some(ff.clocked_on.clone()),
                 SeqKind::Latch(l) => Some(l.enable.clone()),

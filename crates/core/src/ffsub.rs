@@ -14,6 +14,8 @@
 //! slave by the slave enable net — both driven later by the region's
 //! controller pair.
 
+use std::sync::Arc;
+
 use drd_liberty::gatefile::{ControlPin, FfRule, Gatefile};
 use drd_liberty::Library;
 use drd_netlist::{CellId, Conn, Module, NetId};
@@ -141,15 +143,17 @@ fn substitute_one(
     let name = module.cell(cell_id).name.to_owned();
     let mut extra = 0usize;
 
-    // Snapshot the pin connections before the cell is removed; a cloned
-    // symbol table (refcount bumps) keeps name lookups alive while the
-    // module is mutated below.
-    let pins: Vec<(drd_netlist::Symbol, Conn)> = module.cell_pins(cell_id).to_vec();
-    let syms = module.symbols().clone();
+    // Snapshot the cell's own pins (name and connection) before it is
+    // removed, so lookups below never borrow the module being mutated.
+    let pins: Vec<(Arc<str>, Conn)> = module
+        .cell_pins(cell_id)
+        .iter()
+        .map(|&(p, c)| (module.symbols().resolve_arc(p), c))
+        .collect();
     let pin_conn = move |pin: &str| -> Conn {
-        syms.lookup(pin)
-            .and_then(|s| pins.iter().find(|&&(p, _)| p == s).map(|&(_, c)| c))
-            .unwrap_or(Conn::Open)
+        pins.iter()
+            .find(|(p, _)| &**p == pin)
+            .map_or(Conn::Open, |&(_, c)| c)
     };
     let f = &rule.features;
 
@@ -543,6 +547,87 @@ mod tests {
         assert_ne!(m.cell(lm).pin("G"), Some(Conn::Net(gm)));
         let or_m = m.find_cell("r1_acm").expect("master enable OR");
         assert_eq!(m.cell(or_m).pin("A"), Some(Conn::Net(gm)));
+    }
+
+    #[test]
+    fn sync_set_gets_or_gate() {
+        let (mut m, lib, gf, gm, gs) = setup();
+        let d = m.find_net("d").unwrap();
+        let clk = m.find_net("clk").unwrap();
+        let q = m.find_net("q").unwrap();
+        let s = m.add_net("s").unwrap();
+        m.add_cell(
+            "r1",
+            "DFFSX1",
+            &[
+                ("D", Conn::Net(d)),
+                ("S", Conn::Net(s)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
+        )
+        .unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        // Active-high set needs no inverter: `D | S` is one OR.
+        assert_eq!(rep.extra_gates, 1);
+        let or = m.find_cell("r1_ssg").expect("sync set OR");
+        assert_eq!(m.cell(or).kind_name(), "OR2X1");
+        assert_eq!(m.cell(or).pin("A"), Some(Conn::Net(d)));
+        assert_eq!(m.cell(or).pin("B"), Some(Conn::Net(s)));
+        let lm = m.find_cell("r1_lm").unwrap();
+        let ls = m.find_cell("r1_ls").unwrap();
+        assert_eq!(m.cell(lm).pin("D"), m.cell(or).pin("Z"));
+        assert_eq!(m.cell(lm).pin("G"), Some(Conn::Net(gm)));
+        assert_eq!(m.cell(ls).pin("G"), Some(Conn::Net(gs)));
+        assert_eq!(m.cell(ls).pin("Q"), Some(Conn::Net(q)));
+    }
+
+    #[test]
+    fn async_preset_forces_data_and_opens_both_latches() {
+        let (mut m, lib, gf, gm, gs) = setup();
+        let d = m.find_net("d").unwrap();
+        let clk = m.find_net("clk").unwrap();
+        let q = m.find_net("q").unwrap();
+        let sdn = m.add_net("sdn").unwrap();
+        m.add_cell(
+            "r1",
+            "DFFASX1",
+            &[
+                ("D", Conn::Net(d)),
+                ("SDN", Conn::Net(sdn)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
+        )
+        .unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        // Inverter on the active-low preset, ORs on master data, both
+        // enables and the slave data.
+        assert_eq!(rep.extra_gates, 5);
+        let inv = m.find_cell("r1_api").expect("preset inverter");
+        assert_eq!(m.cell(inv).kind_name(), "INVX1");
+        assert_eq!(m.cell(inv).pin("A"), Some(Conn::Net(sdn)));
+        let asserted = m.cell(inv).pin("Z").unwrap();
+        let or = |name: &str| {
+            let c = m
+                .find_cell(name)
+                .unwrap_or_else(|| panic!("{name} missing"));
+            assert_eq!(m.cell(c).kind_name(), "OR2X1", "{name}");
+            assert_eq!(m.cell(c).pin("B"), Some(asserted), "{name}");
+            c
+        };
+        let (apd, apm, aps, asd) = (or("r1_apd"), or("r1_apm"), or("r1_aps"), or("r1_asd"));
+        assert_eq!(m.cell(apd).pin("A"), Some(Conn::Net(d)));
+        assert_eq!(m.cell(apm).pin("A"), Some(Conn::Net(gm)));
+        assert_eq!(m.cell(aps).pin("A"), Some(Conn::Net(gs)));
+        let lm = m.find_cell("r1_lm").unwrap();
+        let ls = m.find_cell("r1_ls").unwrap();
+        assert_eq!(m.cell(lm).pin("D"), m.cell(apd).pin("Z"));
+        assert_eq!(m.cell(lm).pin("G"), m.cell(apm).pin("Z"));
+        assert_eq!(m.cell(ls).pin("G"), m.cell(aps).pin("Z"));
+        assert_eq!(m.cell(asd).pin("A"), m.cell(lm).pin("Q"));
+        assert_eq!(m.cell(ls).pin("D"), m.cell(asd).pin("Z"));
+        assert_eq!(m.cell(ls).pin("Q"), Some(Conn::Net(q)));
     }
 
     #[test]

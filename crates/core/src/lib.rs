@@ -49,6 +49,7 @@ pub mod pipeline;
 #[deny(clippy::unwrap_used, clippy::panic)]
 pub mod region;
 pub mod sdc;
+pub mod timing;
 
 pub use desync::{
     region_delays, region_delays_with, DesyncOptions, DesyncReport, DesyncResult, Desynchronizer,

@@ -46,6 +46,7 @@ use drd_sta::{GraphOptions, TimingGraph};
 
 use crate::delay_element;
 use crate::network::{delem_module_name, enable_net_names};
+use crate::timing::LibraryTiming;
 use crate::DesyncError;
 
 /// Stages of the probe chain whose per-stage STA arrivals seed
@@ -105,7 +106,15 @@ impl ResponseModel {
     /// [`DesyncError::UnknownCell`] when a controller gate is missing;
     /// propagates STA errors from the chain probe.
     pub fn probe(lib: &Library) -> Result<Self, DesyncError> {
-        let level_delay_ns = delay_element::level_delay_ns(lib)?;
+        Self::probe_at(lib, delay_element::level_delay_ns(lib)?)
+    }
+
+    /// [`Self::probe`] given the already-measured per-level delay (see
+    /// [`crate::timing::LibraryTiming`]).
+    ///
+    /// # Errors
+    /// As [`Self::probe`].
+    pub(crate) fn probe_at(lib: &Library, level_delay_ns: f64) -> Result<Self, DesyncError> {
         let d = |name: &str| {
             lib.cell(name)
                 .map(|c| c.max_intrinsic_delay())
@@ -568,11 +577,12 @@ pub fn apply_deepen(
     to_levels: usize,
     muxed: bool,
     lib: &Library,
+    timing: &LibraryTiming,
 ) -> Result<(), DesyncError> {
     let module_name = delem_module_name(muxed, to_levels);
     if design.find_module(&module_name).is_none() {
         let module = if muxed {
-            let overhead = delay_element::mux_overhead_levels(lib)?;
+            let overhead = timing.mux_overhead_levels(lib)?;
             delay_element::build_muxed(&module_name, to_levels, overhead)
         } else {
             delay_element::build_fixed(&module_name, to_levels)

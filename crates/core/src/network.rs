@@ -11,13 +11,14 @@
 //! eager output environment (`ao = ro`).
 
 use drd_liberty::Library;
-use drd_netlist::{Conn, Design, Endpoint, ModuleId, NetId, PinUse};
+use drd_netlist::{Conn, Connectivity, Design, Endpoint, ModuleId, NetId, PinUse};
 
 use crate::celement;
 use crate::controller::{build_controller, ControllerRole};
 use crate::ddg::Ddg;
 use crate::delay_element;
 use crate::region::Regions;
+use crate::timing::LibraryTiming;
 use crate::DesyncError;
 
 /// Naming helper: the master/slave enable nets of a region.
@@ -90,6 +91,7 @@ pub fn insert_control_network(
         ddg,
         region_delays_ns,
         lib,
+        &LibraryTiming::default(),
         degraded,
         opts,
         1,
@@ -97,14 +99,16 @@ pub fn insert_control_network(
     .map(|(report, _)| report)
 }
 
-/// [`insert_control_network`] with an explicit worker count.
+/// [`insert_control_network`] with an explicit worker count and the
+/// library's shared timing model.
 ///
-/// The per-region delay-element *sizing* (the `levels_for_delay` binary
-/// search over the library, the dominant analysis cost here) fans out one
-/// task per region over `workers` threads; module creation and all netlist
-/// mutation stay serial in region-index order, so the resulting design is
-/// byte-identical for every worker count. Returns the report plus the
-/// per-region sizing wall time in nanoseconds (0 for skipped regions).
+/// The per-level delay is probed once (through `timing`, which may
+/// already hold it) and every region's delay element is sized from it by
+/// arithmetic; the sizing fans out one task per region over `workers`
+/// threads. Module creation and all netlist mutation stay serial in
+/// region-index order, so the resulting design is byte-identical for
+/// every worker count. Returns the report plus the per-region sizing
+/// wall time in nanoseconds (0 for skipped regions).
 ///
 /// # Errors
 /// Propagates netlist and STA errors.
@@ -116,6 +120,7 @@ pub fn insert_control_network_with(
     ddg: &Ddg,
     region_delays_ns: &[f64],
     lib: &Library,
+    timing: &LibraryTiming,
     degraded: &[String],
     opts: NetworkOptions,
     workers: usize,
@@ -188,7 +193,7 @@ pub fn insert_control_network_with(
     // Delay-element sizing (parallel, read-only per region) followed by
     // module creation (serial, deduplicated, in region-index order).
     let overhead = if muxed {
-        delay_element::mux_overhead_levels(lib)?
+        timing.mux_overhead_levels(lib)?
     } else {
         0
     };
@@ -201,7 +206,9 @@ pub fn insert_control_network_with(
             if target <= 0.0 {
                 Ok(1)
             } else {
-                delay_element::levels_for_delay(lib, target, margin)
+                timing
+                    .level_delay_ns(lib)
+                    .map(|per_level| delay_element::levels_at(per_level, target, margin))
             }
         };
         (levels, start.elapsed().as_nanos())
@@ -325,12 +332,19 @@ pub fn insert_control_network_with(
     // Low-skew enable trees: bound every enable net's fanout so large
     // regions' latch phases stay crisp (CTS's job in the paper's backend).
     // Degraded regions have no enable nets; `buffer_enable_tree` is a
-    // no-op for them.
+    // no-op for them. One connectivity snapshot serves every tree: a tree
+    // only re-points the loads of its own enable net and adds buffers that
+    // load nothing but that net, so every other enable net's load list
+    // (and each load's pin index) is the same in the snapshot as it would
+    // be in a fresh one.
+    let snapshot = {
+        let dirs = design.pin_dirs(lib);
+        design.module(top).connectivity(&dirs)?
+    };
     for r in regions.regions.iter().filter(|r| !r.seq_cells.is_empty()) {
         let (gm_name, gs_name) = enable_net_names(&r.name);
         for name in [gm_name, gs_name] {
-            report.enable_tree_buffers +=
-                buffer_enable_tree(design, top, lib, &name, 16)?;
+            report.enable_tree_buffers += buffer_enable_tree(design, top, &snapshot, &name, 16)?;
         }
     }
     Ok((report, region_wall_ns))
@@ -339,25 +353,21 @@ pub fn insert_control_network_with(
 /// Builds a balanced buffer tree so the latch-enable net drives at most
 /// `max_fanout` loads per stage — the low-skew tree CTS would synthesize
 /// (§4.5.1); required for correct pre-layout simulation of large regions.
+/// `conn` is a connectivity snapshot whose load list for the net is
+/// current; after the first level the remaining loads on the net are
+/// exactly the buffers just inserted, so they are tracked directly
+/// instead of rescanning the module.
 fn buffer_enable_tree(
     design: &mut Design,
     top: ModuleId,
-    lib: &Library,
+    conn: &Connectivity,
     net_name: &str,
     max_fanout: usize,
 ) -> Result<usize, DesyncError> {
     let Some(net) = design.module(top).find_net(net_name) else {
         return Ok(0);
     };
-    // One connectivity snapshot for the whole tree. The previous version
-    // recomputed pin directions and full-module connectivity on every tree
-    // level, which made insertion quadratic in module size; after the first
-    // level the remaining loads on `net` are exactly the buffers we just
-    // inserted, so we track them directly instead of rescanning the module.
-    let mut current: Vec<Endpoint> = {
-        let dirs = design.pin_dirs(lib);
-        design.module(top).connectivity(&dirs)?.loads(net).to_vec()
-    };
+    let mut current: Vec<Endpoint> = conn.loads(net).to_vec();
     let mut inserted = 0usize;
     let m = design.module_mut(top);
     while current.len() > max_fanout {

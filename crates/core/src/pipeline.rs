@@ -10,6 +10,7 @@
 //! is a thin compatibility wrapper over [`Pipeline::standard`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 use drd_liberty::gatefile::Gatefile;
@@ -23,6 +24,7 @@ use crate::network::{self, enable_net_names, NetworkReport};
 use crate::liveness::{self, LivenessAction, LivenessRepair, RegionState};
 use crate::region::{self, Regions};
 use crate::sdc;
+use crate::timing::LibraryTiming;
 use crate::{DegradeReason, Degradation, DesyncError};
 
 /// The working netlist: a bare module through substitution, a design (top
@@ -37,12 +39,15 @@ enum Netlist {
 }
 
 /// Everything the passes read and write: the working netlist, the
-/// library/gatefile handles, the run options and the accumulated
-/// artifacts of earlier passes.
+/// library/gatefile handles, the library's lazily probed timing model,
+/// the run options and the accumulated artifacts of earlier passes.
 #[derive(Debug, Clone)]
 pub struct FlowContext<'a> {
     lib: &'a Library,
     gatefile: &'a Gatefile,
+    /// Probed at most once per context (control network and liveness
+    /// share it); a [`crate::Desynchronizer`] shares one across contexts.
+    timing: Arc<LibraryTiming>,
     opts: DesyncOptions,
     netlist: Netlist,
     cleaned_cells: usize,
@@ -70,6 +75,7 @@ impl<'a> FlowContext<'a> {
         FlowContext {
             lib,
             gatefile,
+            timing: Arc::default(),
             opts,
             netlist: Netlist::Module(module),
             cleaned_cells: 0,
@@ -84,6 +90,14 @@ impl<'a> FlowContext<'a> {
             degradations: Vec::new(),
             liveness_repairs: Vec::new(),
         }
+    }
+
+    /// Replaces the context's timing model with `timing`, which must
+    /// belong to the same library (so its probes are shared with every
+    /// other context holding it).
+    pub(crate) fn with_timing(mut self, timing: Arc<LibraryTiming>) -> Self {
+        self.timing = timing;
+        self
     }
 
     /// The run options.
@@ -632,6 +646,7 @@ impl Pass for ControlNetworkPass {
             graph,
             delays,
             cx.lib,
+            &cx.timing,
             &degraded,
             network::NetworkOptions {
                 muxed: cx.opts.muxed_delay_elements,
@@ -707,7 +722,8 @@ impl Pass for LivenessGuardPass {
         };
         let mut replay = states.clone();
 
-        let model = liveness::ResponseModel::probe(lib)?;
+        let timing = Arc::clone(&cx.timing);
+        let model = timing.response(lib)?;
         // The spec projection's FF overhead only shapes the synchronous
         // comparison inside the simulator, never the deadlock verdict —
         // a missing DFFX1 must not fail the guard.
@@ -717,7 +733,7 @@ impl Pass for LivenessGuardPass {
         let validate_edges = edges.clone();
         let validate_delays = delays.clone();
         let repairs = liveness::plan_repairs(
-            &model,
+            model,
             &mut states,
             &edges,
             cx.opts.clock_period_ns,
@@ -757,7 +773,9 @@ impl Pass for LivenessGuardPass {
             match &rep.action {
                 LivenessAction::DeepenSuccessor { successor, to_levels, .. } => {
                     let (design, top) = cx.design_mut()?;
-                    liveness::apply_deepen(design, top, successor, *to_levels, muxed, lib)?;
+                    liveness::apply_deepen(
+                        design, top, successor, *to_levels, muxed, lib, &timing,
+                    )?;
                     let si = idx_of(&replay, successor)?;
                     replay[si].levels = *to_levels;
                     if let Some(nr) = cx.network.as_mut() {

@@ -203,12 +203,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte {b:#04x} in string at {}", *pos))
             }
             Some(_) => {
-                // Copy one whole UTF-8 scalar (bytes is valid UTF-8: it
-                // came from a &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of plain bytes up to the next quote,
+                // backslash or control byte as one slice. Every run
+                // boundary is an ASCII byte (or the end), never inside a
+                // multibyte scalar, so the run is valid UTF-8 on its own
+                // (`bytes` came from a &str) and each byte is validated
+                // once: parsing stays linear in the string's length.
+                let start = *pos;
+                while let Some(&b) = bytes.get(*pos) {
+                    if b == b'"' || b == b'\\' || b < 0x20 {
+                        break;
+                    }
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -351,6 +360,58 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input: {bad:?}");
         }
+    }
+
+    #[test]
+    fn multi_megabyte_string_literal_parses() {
+        // A 4 MiB literal with multibyte scalars spread through it: the
+        // old per-character parse re-validated the rest of the line at
+        // every character, which takes minutes at this size.
+        let mut text: String = (0..1 << 20)
+            .map(|i| if i % 97 == 0 { 'é' } else { 'v' })
+            .collect();
+        text.push_str(&"z".repeat(3 << 20));
+        let line = format!("{{\"verilog\":{}}}", escape(&text));
+        assert!(line.len() > 4 << 20);
+        let start = std::time::Instant::now();
+        let v = parse(&line).unwrap();
+        assert_eq!(v.get("verilog").unwrap().as_str(), Some(text.as_str()));
+        assert!(start.elapsed().as_secs() < 20, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn escapes_and_multibyte_scalars_next_to_plain_runs() {
+        for (json, want) in [
+            (r#""\n""#, "\n"),
+            (r#""ab\ncd""#, "ab\ncd"),
+            (r#""é\t😀""#, "é\t😀"),
+            (r#""😀é""#, "😀é"),
+            (r#""\"x\"""#, "\"x\""),
+            (r#""x\u00e9y""#, "xéy"),
+            (r#""\ud83d\ude00é""#, "😀é"),
+            (r#""ü\\""#, "ü\\"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(parse(json).unwrap().as_str(), Some(want), "{json}");
+        }
+    }
+
+    #[test]
+    fn raw_control_bytes_report_their_position() {
+        assert_eq!(
+            parse("\"ab\ncd\"").unwrap_err(),
+            "raw control byte 0x0a in string at 3"
+        );
+        // `é` is two bytes (6 and 7): the control byte sits at byte 8.
+        assert_eq!(
+            parse("{\"k\":\"é\u{1}\"}").unwrap_err(),
+            "raw control byte 0x01 in string at 8"
+        );
+        assert_eq!(
+            parse("\"\\n😀\t\"").unwrap_err(),
+            "raw control byte 0x09 in string at 7"
+        );
+        assert_eq!(parse("\"abc").unwrap_err(), "unterminated string");
     }
 
     #[test]

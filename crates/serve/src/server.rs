@@ -25,7 +25,20 @@
 //! never changes artifacts). A hit replays the stored report, SDC,
 //! Verilog and deterministic trace byte-identically. Only successful
 //! flows are cached — errors re-run, so a transient budget/deadline
-//! failure is not sticky.
+//! failure is not sticky. The cache holds at most [`CACHE_BUDGET_BYTES`]
+//! of artifacts (plus keys and a fixed per-entry overhead): a cold insert
+//! past the budget evicts least-recently-used entries first, so a
+//! long-lived server's memory stays bounded however many distinct
+//! netlists it sees. An evicted netlist simply runs cold again.
+//!
+//! **Backpressure.** At most [`RUNNING_JOBS_PER_TOKEN`] desync jobs per
+//! core token run at once. Past that bound a serve loop stops reading
+//! requests until a running job finishes its flow, so a burst waits in
+//! the input stream rather than as one thread per request, each holding
+//! a flow's working memory. A finished job hands its response to the
+//! stream's single writer thread and exits, so a client that is slow to
+//! read its responses holds neither slots nor threads, only the queued
+//! response text.
 //!
 //! **Deadlines.** A job's `deadline_ms` is enforced twice: a job whose
 //! budget expired while it sat behind other work is answered with a
@@ -41,7 +54,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use drd_core::{DesyncError, Desynchronizer};
@@ -68,6 +81,159 @@ struct Artifacts {
     trace: String,
 }
 
+impl Artifacts {
+    /// Text bytes held, as charged against the cache budget.
+    fn bytes(&self) -> usize {
+        self.netlist_hash.len()
+            + self.report.len()
+            + self.sdc.len()
+            + self.verilog.len()
+            + self.trace.len()
+    }
+}
+
+/// Byte budget of the flow cache: artifact text plus keys plus
+/// [`ENTRY_OVERHEAD_BYTES`] per entry. Fixed, like the protocol itself.
+/// 8 MiB holds over a thousand typical few-KB responses, or a few
+/// full-size core results. Live cache bytes are not free for the rest of
+/// the process: on a 2-core x86-64 host running the end-to-end benchmark,
+/// budgets of 4, 8, 16, 32 and 128 MiB gave a peak RSS of 93, 140, 163,
+/// 219 and 350 MB, and slowed an unrelated allocation-heavy step (library
+/// clone plus gatefile build) from 86 µs at 4 MiB to 191 µs at 128 MiB.
+pub const CACHE_BUDGET_BYTES: usize = 8 << 20;
+
+/// Bookkeeping bytes charged per cache entry on top of its strings (map
+/// slot, LRU index node, `Arc` header, string headers).
+const ENTRY_OVERHEAD_BYTES: usize = 256;
+
+type CacheKey = (u128, String);
+
+/// A byte-budgeted LRU map from flow keys to finished artifacts.
+#[derive(Debug)]
+struct FlowCache {
+    budget: usize,
+    /// Entry → (artifacts, charged bytes, last-use stamp).
+    map: HashMap<CacheKey, (Arc<Artifacts>, usize, u64)>,
+    /// Last-use stamp → key; the first entry is the least recently used.
+    order: BTreeMap<u64, CacheKey>,
+    /// Next last-use stamp.
+    clock: u64,
+    /// Bytes charged for all entries, always `<= budget`.
+    bytes: usize,
+    evictions: u64,
+}
+
+impl FlowCache {
+    fn new(budget: usize) -> Self {
+        FlowCache {
+            budget,
+            map: HashMap::new(),
+            order: BTreeMap::new(),
+            clock: 0,
+            bytes: 0,
+            evictions: 0,
+        }
+    }
+
+    /// The cached artifacts of `key`, marking the entry most recently used.
+    fn get(&mut self, key: &CacheKey) -> Option<Arc<Artifacts>> {
+        let (artifacts, _, stamp) = self.map.get_mut(key)?;
+        let old = std::mem::replace(stamp, self.clock);
+        let entry = self
+            .order
+            .remove(&old)
+            .expect("every entry is in the LRU order");
+        self.order.insert(self.clock, entry);
+        self.clock += 1;
+        Some(Arc::clone(artifacts))
+    }
+
+    /// Caches `artifacts` under `key` as the most recently used entry,
+    /// evicting least-recently-used entries until it fits. An entry larger
+    /// than the whole budget is not cached.
+    fn insert(&mut self, key: CacheKey, artifacts: Arc<Artifacts>) {
+        self.remove(&key);
+        let charged = artifacts.bytes() + key.1.len() + ENTRY_OVERHEAD_BYTES;
+        if charged > self.budget {
+            return;
+        }
+        while self.bytes + charged > self.budget {
+            let Some((_, lru)) = self.order.pop_first() else {
+                break;
+            };
+            if let Some((_, bytes, _)) = self.map.remove(&lru) {
+                self.bytes -= bytes;
+                self.evictions += 1;
+            }
+        }
+        self.order.insert(self.clock, key.clone());
+        self.map.insert(key, (artifacts, charged, self.clock));
+        self.clock += 1;
+        self.bytes += charged;
+    }
+
+    fn remove(&mut self, key: &CacheKey) {
+        if let Some((_, bytes, stamp)) = self.map.remove(key) {
+            self.order.remove(&stamp);
+            self.bytes -= bytes;
+        }
+    }
+}
+
+/// Desync jobs allowed to run at once per core token (see the module docs
+/// on backpressure). A job waits for tokens only inside its per-region
+/// tasks, so a few jobs per token keep every core busy; more only add
+/// memory. On a 2-core x86-64 host, this bound plus the single writer
+/// thread held the end-to-end benchmark's peak RSS to 90-123 MB over
+/// seven runs, against 99-242 MB over thirteen runs with one unbounded
+/// thread per request.
+const RUNNING_JOBS_PER_TOKEN: usize = 8;
+
+/// Counting semaphore over running desync jobs.
+#[derive(Debug)]
+struct JobSlots {
+    limit: usize,
+    running: Mutex<usize>,
+    freed: Condvar,
+}
+
+impl JobSlots {
+    fn new(limit: usize) -> Self {
+        JobSlots {
+            limit: limit.max(1),
+            running: Mutex::new(0),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Blocks until a slot is free and takes it. The slot comes back when
+    /// the guard drops, also when the job panics.
+    fn acquire(&self) -> JobSlot<'_> {
+        let mut running = self.running.lock().unwrap();
+        while *running >= self.limit {
+            running = self.freed.wait(running).unwrap();
+        }
+        *running += 1;
+        JobSlot(self)
+    }
+}
+
+/// One taken [`JobSlots`] slot.
+struct JobSlot<'a>(&'a JobSlots);
+
+impl Drop for JobSlot<'_> {
+    fn drop(&mut self) {
+        // Every update leaves the count valid, so a poisoned lock is
+        // safe to reuse, and a drop must not panic.
+        *self
+            .0
+            .running
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
 /// Monotonic counters behind one lock (every update is a handful of
 /// integer bumps; jobs spend their time in the flow, not here).
 #[derive(Debug, Default)]
@@ -84,28 +250,48 @@ struct Counters {
 pub struct Server<'a> {
     lib: &'a Library,
     tool: Desynchronizer<'a>,
-    cache: Mutex<HashMap<(u128, String), Arc<Artifacts>>>,
+    cache: Mutex<FlowCache>,
     counters: Mutex<Counters>,
     in_flight: AtomicUsize,
+    job_slots: JobSlots,
 }
 
 impl<'a> Server<'a> {
     /// Prepares a server for `lib`: builds the gatefile once and
     /// installs the process-wide core-token governor with `tokens`
     /// tokens (a no-op if one is already installed — the governor is
-    /// process-global and first-install-wins).
+    /// process-global and first-install-wins). The serve loops run at
+    /// most `tokens` × [`RUNNING_JOBS_PER_TOKEN`] desync jobs at once.
     ///
     /// # Errors
     /// Returns [`DesyncError::Library`] when the library cannot support
     /// desynchronization.
     pub fn new(lib: &'a Library, tokens: usize) -> Result<Self, DesyncError> {
+        Self::with_limits(
+            lib,
+            tokens,
+            CACHE_BUDGET_BYTES,
+            tokens.max(1) * RUNNING_JOBS_PER_TOKEN,
+        )
+    }
+
+    /// [`Server::new`] with a flow-cache byte budget and a running-job
+    /// bound of the caller's choice (tests exercise eviction and
+    /// backpressure with small ones).
+    fn with_limits(
+        lib: &'a Library,
+        tokens: usize,
+        cache_budget: usize,
+        running_jobs: usize,
+    ) -> Result<Self, DesyncError> {
         governor::install(tokens);
         Ok(Server {
             lib,
             tool: Desynchronizer::new(lib)?,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(FlowCache::new(cache_budget)),
             counters: Mutex::new(Counters::default()),
             in_flight: AtomicUsize::new(0),
+            job_slots: JobSlots::new(running_jobs),
         })
     }
 
@@ -141,7 +327,8 @@ impl<'a> Server<'a> {
         let netlist_hash = content_hash128(job.verilog.as_bytes());
         let key = (netlist_hash, job.options.cache_key());
 
-        if let Some(hit) = self.cache.lock().unwrap().get(&key).map(Arc::clone) {
+        let hit = self.cache.lock().unwrap().get(&key);
+        if let Some(hit) = hit {
             let mut counters = self.counters.lock().unwrap();
             counters.cache_hits += 1;
             counters.jobs_ok += 1;
@@ -218,6 +405,10 @@ impl<'a> Server<'a> {
         let lookups = hits + misses;
         let hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
         let (capacity, available, waiting) = governor::stats().unwrap_or((0, 0, 0));
+        let (cache_entries, cache_bytes, cache_evictions) = {
+            let cache = self.cache.lock().unwrap();
+            (cache.map.len(), cache.bytes, cache.evictions)
+        };
         let mut phases = String::from("{");
         for (i, (name, wall_ns)) in counters.phase_wall_ns.iter().enumerate() {
             if i > 0 {
@@ -231,13 +422,13 @@ impl<'a> Server<'a> {
         out.push_str(&format!(
             ",\"status\":\"ok\",\"kind\":\"stats\",\"jobs_served\":{},\"jobs_ok\":{},\
              \"jobs_failed\":{},\"cache_hits\":{hits},\"cache_misses\":{misses},\
-             \"cache_hit_rate\":{hit_rate:.4},\"cache_entries\":{},\"queue_depth\":{},\
+             \"cache_hit_rate\":{hit_rate:.4},\"cache_entries\":{cache_entries},\
+             \"cache_bytes\":{cache_bytes},\"cache_evictions\":{cache_evictions},\"queue_depth\":{},\
              \"governor_capacity\":{capacity},\"governor_available\":{available},\
              \"governor_waiting\":{waiting},\"phase_wall_ms\":{phases}}}",
             counters.jobs_ok + counters.jobs_failed,
             counters.jobs_ok,
             counters.jobs_failed,
-            self.cache.lock().unwrap().len(),
             self.in_flight.load(Ordering::Relaxed),
         ));
         out
@@ -331,6 +522,21 @@ where
     let mut shutdown_id: Option<String> = None;
 
     std::thread::scope(|scope| -> std::io::Result<()> {
+        // Finished jobs hand their responses to one writer thread and
+        // exit, so a job thread never waits on a slow reader: the
+        // threads alive are the running jobs plus this one.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<String>();
+        {
+            let write_line = &write_line;
+            let failure = &failure;
+            scope.spawn(move || {
+                for response in done_rx {
+                    if let Err(e) = write_line(&response) {
+                        failure.lock().unwrap().get_or_insert(e);
+                    }
+                }
+            });
+        }
         let mut line = String::new();
         loop {
             if stop.load(Ordering::Relaxed) {
@@ -354,14 +560,15 @@ where
                             }
                             Ok(request) => {
                                 let received = Instant::now();
-                                let write_line = &write_line;
-                                let failure = &failure;
+                                // Backpressure: no new job (and no further
+                                // reading) until a running one finishes.
+                                let slot = server.job_slots.acquire();
+                                let done = done_tx.clone();
                                 scope.spawn(move || {
                                     let response = server.execute(&request, received);
-                                    if let Err(e) = write_line(&response) {
-                                        let mut slot = failure.lock().unwrap();
-                                        slot.get_or_insert(e);
-                                    }
+                                    drop(slot);
+                                    // The writer outlives every job thread.
+                                    let _ = done.send(response);
                                 });
                             }
                         }
@@ -568,6 +775,153 @@ mod tests {
         for l in &lines {
             json::parse(l).unwrap_or_else(|e| panic!("bad response line {l}: {e}"));
         }
+    }
+
+    fn artifacts(size: usize) -> Arc<Artifacts> {
+        Arc::new(Artifacts {
+            netlist_hash: String::new(),
+            report: "r".repeat(size),
+            sdc: String::new(),
+            verilog: String::new(),
+            trace: String::new(),
+        })
+    }
+
+    #[test]
+    fn cache_churn_stays_in_budget_and_keeps_recent_entries() {
+        let entry = |size: usize| size + ENTRY_OVERHEAD_BYTES;
+        let budget = 10 * entry(1000);
+        let mut cache = FlowCache::new(budget);
+        let hot: CacheKey = (0, "hot".into());
+        cache.insert(hot.clone(), artifacts(1000));
+        for i in 1..500u128 {
+            // Sizes vary so evictions free uneven amounts.
+            cache.insert(
+                (i, String::new()),
+                artifacts(500 + (i as usize * 37) % 1000),
+            );
+            assert!(cache.get(&hot).is_some(), "hot entry evicted at insert {i}");
+            assert!(cache.bytes <= budget, "{} > {budget}", cache.bytes);
+            let charged: usize = cache.map.values().map(|&(_, b, _)| b).sum();
+            assert_eq!(cache.bytes, charged);
+            assert_eq!(cache.map.len(), cache.order.len());
+            // The newest entry is always kept.
+            assert!(cache.map.contains_key(&(i, String::new())));
+        }
+        assert!(cache.evictions > 400, "evictions: {}", cache.evictions);
+        // The least recently used entries go first: the oldest cold
+        // entries are gone, the latest survive.
+        assert!(!cache.map.contains_key(&(1, String::new())));
+        assert!(cache.map.contains_key(&(498, String::new())));
+
+        // Re-inserting a key replaces it without double-charging, and an
+        // entry larger than the whole budget is never cached.
+        let before = cache.bytes;
+        cache.insert(hot.clone(), artifacts(1000));
+        assert_eq!(cache.bytes, before);
+        cache.insert((9999, String::new()), artifacts(budget));
+        assert!(!cache.map.contains_key(&(9999, String::new())));
+        assert!(cache.bytes <= budget);
+    }
+
+    #[test]
+    fn evicting_server_keeps_warm_hits_byte_identical() {
+        let lib = vlib90::high_speed();
+        // Size one toy entry, then give a second server room for ~3.
+        let probe = Server::new(&lib, 4).unwrap();
+        probe.handle_line(&request_line("p", &toy_verilog("t00")));
+        let stat = |server: &Server<'_>, key: &str| -> usize {
+            let stats =
+                json::parse(&server.handle_line("{\"id\":\"s\",\"kind\":\"stats\"}")).unwrap();
+            stats.get(key).unwrap().as_num().unwrap() as usize
+        };
+        let budget = 3 * stat(&probe, "cache_bytes") + 200;
+        let server = Server::with_limits(&lib, 4, budget, 32).unwrap();
+
+        let strip = |line: &str, id: &str, cached: bool| {
+            line.replace(&format!("\"id\":\"{id}\""), "")
+                .replace(&format!("\"cached\":{cached}"), "")
+        };
+        let hot = server.handle_line(&request_line("hot", &toy_verilog("hot")));
+        assert!(hot.contains("\"cached\":false"), "{hot}");
+        for i in 0..12 {
+            let cold = server.handle_line(&request_line("c", &toy_verilog(&format!("t{i:02}"))));
+            assert!(cold.contains("\"cached\":false"), "{cold}");
+            let warm = server.handle_line(&request_line("w", &toy_verilog("hot")));
+            assert!(warm.contains("\"cached\":true"), "round {i}: {warm}");
+            assert_eq!(strip(&hot, "hot", false), strip(&warm, "w", true));
+            assert!(stat(&server, "cache_bytes") <= budget);
+        }
+        assert!(stat(&server, "cache_evictions") >= 9);
+        assert!(stat(&server, "cache_entries") <= 3);
+        // An evicted netlist runs cold again, with the same artifacts.
+        let again = server.handle_line(&request_line("c", &toy_verilog("t00")));
+        assert!(again.contains("\"cached\":false"), "{again}");
+    }
+
+    #[test]
+    fn job_slots_bound_concurrency_and_survive_panics() {
+        let slots = JobSlots::new(2);
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        let _slot = slots.acquire();
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert!(
+            peak.load(Ordering::SeqCst) <= 2,
+            "peak {}",
+            peak.load(Ordering::SeqCst)
+        );
+        let caught = std::panic::catch_unwind(|| {
+            let _slot = slots.acquire();
+            panic!("boom");
+        });
+        assert!(caught.is_err());
+        assert_eq!(*slots.running.lock().unwrap(), 0, "every slot returned");
+    }
+
+    #[test]
+    fn one_running_job_still_answers_every_request() {
+        let lib = vlib90::high_speed();
+        let server = Server::with_limits(&lib, 4, CACHE_BUDGET_BYTES, 1).unwrap();
+        let mut input = String::new();
+        for i in 0..6 {
+            // Three distinct netlists, each sent twice.
+            input.push_str(&request_line(
+                &format!("j{i}"),
+                &toy_verilog(&format!("t{}", i % 3)),
+            ));
+            input.push('\n');
+        }
+        input.push_str(
+            "{\"id\":\"s\",\"kind\":\"stats\"}\n{\"id\":\"bye\",\"kind\":\"shutdown\"}\n",
+        );
+        let mut output: Vec<u8> = Vec::new();
+        let stop = AtomicBool::new(false);
+        assert!(serve_stream(&server, input.as_bytes(), &mut output, &stop).unwrap());
+        let text = String::from_utf8(output).unwrap();
+        for i in 0..6 {
+            let id = format!("\"id\":\"j{i}\"");
+            let line = text
+                .lines()
+                .find(|l| l.contains(&id))
+                .expect("every job answered");
+            assert!(line.contains("\"status\":\"ok\""), "{line}");
+        }
+        assert!(
+            text.lines().last().unwrap().contains("\"jobs_served\":6"),
+            "{text}"
+        );
     }
 
     #[test]

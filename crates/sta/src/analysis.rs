@@ -1,8 +1,11 @@
 //! Arrival-time propagation and critical-path extraction.
 
-use drd_liberty::Corner;
+use std::sync::Arc;
 
-use crate::graph::{NodeId, TimingGraph};
+use drd_liberty::Corner;
+use drd_netlist::SymbolTable;
+
+use crate::graph::{Label, NodeId, TimingGraph};
 use crate::StaError;
 
 /// One step of a reported timing path.
@@ -20,7 +23,9 @@ pub struct Arrivals {
     arrivals: Vec<f64>,
     /// Predecessor edge on the worst path, for traceback.
     worst_pred: Vec<Option<NodeId>>,
-    names: Vec<String>,
+    /// Interned node names, rendered only along reported paths.
+    labels: Vec<Label>,
+    syms: Arc<SymbolTable>,
     endpoints: Vec<NodeId>,
 }
 
@@ -58,7 +63,7 @@ impl Arrivals {
         let mut cur = Some(node);
         while let Some(n) = cur {
             steps.push(PathStep {
-                node: self.names[n.0 as usize].clone(),
+                node: self.labels[n.0 as usize].render(&self.syms),
                 arrival: self.arrivals[n.0 as usize],
             });
             cur = self.worst_pred[n.0 as usize];
@@ -136,7 +141,7 @@ impl TimingGraph {
         if seen != n {
             let through = (0..n)
                 .find(|&i| remaining[i] > 0)
-                .map(|i| self.node_name(NodeId(i as u32)).to_owned())
+                .map(|i| self.node_name(NodeId(i as u32)))
                 .unwrap_or_default();
             return Err(StaError::Cycle { through });
         }
@@ -178,7 +183,8 @@ impl TimingGraph {
         Ok(Arrivals {
             arrivals,
             worst_pred,
-            names: self.nodes.iter().map(|nd| nd.name.clone()).collect(),
+            labels: self.nodes.iter().map(|nd| nd.label).collect(),
+            syms: Arc::clone(&self.syms),
             endpoints: self.endpoints().collect(),
         })
     }

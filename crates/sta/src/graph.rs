@@ -2,6 +2,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use drd_liberty::{LibCell, Library, SeqKind};
 use drd_netlist::{
@@ -42,11 +43,29 @@ pub enum EdgeKind {
     Net,
 }
 
+/// Interned parts of a node's report name: `(instance, Some(pin))` for
+/// a cell pin, `(port, None)` for a port. Rendered to `instance/pin` or
+/// `port` text only when a report or error asks for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Label {
+    owner: Symbol,
+    pin: Option<Symbol>,
+}
+
+impl Label {
+    pub(crate) fn render(self, syms: &SymbolTable) -> String {
+        match self.pin {
+            Some(pin) => format!("{}/{}", syms.resolve(self.owner), syms.resolve(pin)),
+            None => syms.resolve(self.owner).to_owned(),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub kind: NodeKind,
-    /// Pretty `instance/pin` or `port` name for reports.
-    pub name: String,
+    /// Report name, resolved through [`TimingGraph::node_name`].
+    pub label: Label,
     /// True if timing is disabled through this pin (§4.6.1).
     pub disabled: bool,
     /// True if this node is a timing endpoint (sequential data input or
@@ -196,15 +215,17 @@ fn check_lib_cells(module: &Module, lib: &Library) -> Result<(), StaError> {
 }
 
 /// Shared read-only preparation for building many per-region subset
-/// graphs of one module (see [`TimingGraph::build_subset`]): connectivity
-/// and full-module net load capacitances are derived once and then shared
-/// — the struct is `Sync`, so region tasks can build their subgraphs in
-/// parallel.
+/// graphs of one module (see [`TimingGraph::build_subset`]): connectivity,
+/// full-module net load capacitances and one shared copy of the module's
+/// symbol table are derived once and then shared — the struct is `Sync`,
+/// so region tasks can build their subgraphs in parallel, and a subset
+/// graph costs only its own cells, never a pass over the whole module.
 #[derive(Debug)]
 pub struct SubsetContext<'a> {
     module: &'a Module,
     conn: Connectivity,
     net_load: Vec<f64>,
+    syms: Arc<SymbolTable>,
 }
 
 impl<'a> SubsetContext<'a> {
@@ -224,6 +245,7 @@ impl<'a> SubsetContext<'a> {
             module,
             conn,
             net_load,
+            syms: Arc::new(module.symbols().clone()),
         })
     }
 
@@ -241,9 +263,10 @@ pub struct TimingGraph {
     pub(crate) out: Vec<Vec<EdgeId>>,
     pin_nodes: HashMap<(CellId, u32), NodeId>,
     port_nodes: HashMap<PortId, NodeId>,
-    /// Clone of the module's symbol table (refcount bumps, not string
-    /// copies) so the string-facing `find_pin` API can resolve names.
-    syms: SymbolTable,
+    /// The module's symbol table, shared (one per [`TimingGraph::build`],
+    /// one per [`SubsetContext`] for every subset graph built from it):
+    /// node names and the string-facing `find_pin` API resolve through it.
+    pub(crate) syms: Arc<SymbolTable>,
     cell_ids: HashMap<Symbol, CellId>,
     /// First pin index carrying each pin-name symbol on a cell.
     pin_ids: HashMap<(CellId, Symbol), u32>,
@@ -285,12 +308,12 @@ impl TimingGraph {
                 message: e.to_string(),
             })?;
 
-        let mut g = TimingGraph::empty(module);
+        let mut g = TimingGraph::empty(Arc::new(module.symbols().clone()));
         let net_load = net_loads(module, lib)?;
 
         // Nodes for ports.
         for (pid, port) in module.ports() {
-            g.push_port_node(pid, port.name, port.dir);
+            g.push_port_node(pid, module.port_sym(pid), port.dir);
         }
 
         // Nodes for cell pins + intra-cell arcs (arc pin names resolved
@@ -345,11 +368,11 @@ impl TimingGraph {
         cells: &[CellId],
     ) -> Result<Self, StaError> {
         let module = cx.module;
-        let mut g = TimingGraph::empty(module);
+        let mut g = TimingGraph::empty(Arc::clone(&cx.syms));
 
         // Nodes for ports (zero-arrival sources / output endpoints).
         for (pid, port) in module.ports() {
-            g.push_port_node(pid, port.name, port.dir);
+            g.push_port_node(pid, module.port_sym(pid), port.dir);
         }
 
         // Nodes and arcs for the subset cells only.
@@ -395,24 +418,27 @@ impl TimingGraph {
         Ok(g)
     }
 
-    fn empty(module: &Module) -> Self {
+    fn empty(syms: Arc<SymbolTable>) -> Self {
         TimingGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
             out: Vec::new(),
             pin_nodes: HashMap::new(),
             port_nodes: HashMap::new(),
-            syms: module.symbols().clone(),
+            syms,
             cell_ids: HashMap::new(),
             pin_ids: HashMap::new(),
         }
     }
 
-    fn push_port_node(&mut self, pid: PortId, name: &str, dir: PortDir) {
+    fn push_port_node(&mut self, pid: PortId, name: Symbol, dir: PortDir) {
         let node = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             kind: NodeKind::Port(pid),
-            name: name.to_owned(),
+            label: Label {
+                owner: name,
+                pin: None,
+            },
             disabled: false,
             endpoint: dir != PortDir::Input,
         });
@@ -432,7 +458,10 @@ impl TimingGraph {
                     cell: cid,
                     pin: idx as u32,
                 },
-                name: format!("{}/{}", cell.name, cell.pin_name(idx)),
+                label: Label {
+                    owner: cell.name_sym(),
+                    pin: Some(pin),
+                },
                 disabled: false,
                 endpoint: false,
             });
@@ -522,9 +551,10 @@ impl TimingGraph {
         self.edges.len()
     }
 
-    /// Pretty name of a node (`instance/pin` or port name).
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0 as usize].name
+    /// Pretty name of a node (`instance/pin` or port name), built on
+    /// demand from the interned names.
+    pub fn node_name(&self, node: NodeId) -> String {
+        self.nodes[node.0 as usize].label.render(&self.syms)
     }
 
     /// Kind of a node.
@@ -642,10 +672,10 @@ mod tests {
             .count();
         assert_eq!(arc_count, 2);
         // r1/D is an endpoint; z port is an endpoint.
-        let endpoint_names: Vec<&str> = g.endpoints().map(|n| g.node_name(n)).collect();
-        assert!(endpoint_names.contains(&"r1/D"));
-        assert!(endpoint_names.contains(&"z"));
-        assert!(!endpoint_names.contains(&"r1/CK"));
+        let endpoint_names: Vec<String> = g.endpoints().map(|n| g.node_name(n)).collect();
+        assert!(endpoint_names.iter().any(|n| n == "r1/D"));
+        assert!(endpoint_names.iter().any(|n| n == "z"));
+        assert!(!endpoint_names.iter().any(|n| n == "r1/CK"));
     }
 
     #[test]
@@ -673,6 +703,104 @@ mod tests {
         assert!(!g.disable_pin("missing", "Z"));
         let disabled = g.edges.iter().filter(|e| e.disabled).count();
         assert!(disabled >= 2); // the A→Z arc and the net edge to r1/D
+    }
+
+    /// Subset graphs resolve names through the shared context's symbol
+    /// table; every string-facing answer must match the full graph's.
+    #[test]
+    fn subset_graph_names_match_full_graph() {
+        use drd_liberty::Corner;
+        let lib = vlib90::high_speed();
+        // a → u0 → u1 → u2 → r1/D, then r1/Q → u9 → z.
+        let mut m = Module::new("t");
+        m.add_port("a", PortDir::Input).unwrap();
+        m.add_port("clk", PortDir::Input).unwrap();
+        m.add_port("z", PortDir::Output).unwrap();
+        let clk = m.find_net("clk").unwrap();
+        let mut prev = m.find_net("a").unwrap();
+        for i in 0..3 {
+            let next = m.add_net(format!("n{i}")).unwrap();
+            m.add_cell(
+                format!("u{i}"),
+                "INVX1",
+                &[("A", Conn::Net(prev)), ("Z", Conn::Net(next))],
+            )
+            .unwrap();
+            prev = next;
+        }
+        let q = m.add_net("q").unwrap();
+        m.add_cell(
+            "r1",
+            "DFFX1",
+            &[
+                ("D", Conn::Net(prev)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
+        )
+        .unwrap();
+        let z = m.find_net("z").unwrap();
+        m.add_cell("u9", "INVX1", &[("A", Conn::Net(q)), ("Z", Conn::Net(z))])
+            .unwrap();
+
+        let opts = GraphOptions::default();
+        let mut full = TimingGraph::build(&m, &lib, &opts).unwrap();
+        let cx = SubsetContext::new(&m, &lib).unwrap();
+        let members: Vec<CellId> = ["u0", "u1", "u2", "r1"]
+            .iter()
+            .map(|n| m.find_cell(n).unwrap())
+            .collect();
+        let mut sub = TimingGraph::build_subset(&cx, &lib, &opts, &members).unwrap();
+
+        for cell in ["u0", "u1", "u2", "r1"] {
+            for pin in ["A", "Z", "D", "CK", "Q", "nope"] {
+                let (f, s) = (full.find_pin(cell, pin), sub.find_pin(cell, pin));
+                assert_eq!(f.is_some(), s.is_some(), "{cell}/{pin}");
+                if let (Some(f), Some(s)) = (f, s) {
+                    assert_eq!(full.node_name(f), format!("{cell}/{pin}"));
+                    assert_eq!(full.node_name(f), sub.node_name(s));
+                }
+            }
+        }
+        assert!(
+            sub.find_pin("u9", "A").is_none(),
+            "u9 is outside the subset"
+        );
+        for port in 0..3 {
+            let pid = PortId::from_index(port);
+            let (f, s) = (full.port_nodes[&pid], sub.port_nodes[&pid]);
+            assert_eq!(full.node_name(f), sub.node_name(s));
+        }
+
+        let path = |g: &TimingGraph| -> Vec<(String, u64)> {
+            g.arrivals(Corner::typical())
+                .unwrap()
+                .critical_path()
+                .into_iter()
+                .map(|s| (s.node, s.arrival.to_bits()))
+                .collect()
+        };
+        let full_path = path(&full);
+        assert_eq!(full_path.last().unwrap().0, "r1/D");
+        assert_eq!(full_path, path(&sub));
+
+        for (cell, pin) in [("u1", "Z"), ("u1", "nope"), ("ghost", "Z")] {
+            assert_eq!(full.disable_pin(cell, pin), sub.disable_pin(cell, pin));
+        }
+        // After the cut the z path may be worst in the full graph, so
+        // compare the traceback to r1/D directly.
+        let to_d = |g: &TimingGraph| -> Vec<(String, u64)> {
+            let node = g.find_pin("r1", "D").unwrap();
+            g.arrivals(Corner::typical())
+                .unwrap()
+                .path_to(node)
+                .into_iter()
+                .map(|s| (s.node, s.arrival.to_bits()))
+                .collect()
+        };
+        let full_path = to_d(&full);
+        assert_eq!(full_path.first().unwrap().0, "u2/A", "cut at u1/Z");
+        assert_eq!(full_path, to_d(&sub));
     }
 
     #[test]

@@ -88,10 +88,9 @@ impl TimingGraph {
             let e = &mut self.edges[eid.0 as usize];
             e.disabled = true;
             let (from, to) = (e.from, e.to);
-            report.cut_edges.push((
-                self.node_name(from).to_owned(),
-                self.node_name(to).to_owned(),
-            ));
+            report
+                .cut_edges
+                .push((self.node_name(from), self.node_name(to)));
         }
         report
     }

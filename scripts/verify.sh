@@ -20,8 +20,9 @@
 #    the golden degraded-flow artifacts, plus the interned-name guard
 #    rail (no String-keyed maps inside core/sta/sim pass modules),
 # 9. runs the parallel scaling bench (results/BENCH_scale.json), checks
-#    its schema, gates on >= 3x flow speedup where there are >= 4 cores
-#    (reported, not gated, on narrower hosts), and re-runs the
+#    its schema (including the per-unit pass cost ratios, which the
+#    binary itself gates at 2x), gates on >= 3x flow speedup where there
+#    are >= 4 cores (reported, not gated, on narrower hosts), and re-runs the
 #    determinism suite under DRD_WORKERS=3 to cross-check that worker
 #    count never leaks into artifacts,
 # 10. runs the handshake-level variability Monte Carlo
@@ -232,8 +233,11 @@ fi
 echo "ok: no String-keyed maps outside the name boundary"
 
 echo "== parallel scaling bench gate (offline) =="
-# The binary itself exits non-zero if region lookup is no longer O(1)
-# or if serial and parallel artifacts diverge at any step.
+# The binary itself exits non-zero if region lookup is no longer O(1),
+# if the per-flip-flop cost of ffsub or the per-region cost of
+# region-delays or control-network grows more than 2x over its
+# uniform-stage ladder, or if serial and parallel artifacts diverge at
+# any step.
 cargo run --release --offline -p drd-bench --bin scale
 scale_json=results/BENCH_scale.json
 if [ ! -s "$scale_json" ]; then
@@ -241,6 +245,10 @@ if [ ! -s "$scale_json" ]; then
   exit 1
 fi
 for field in '"name": "scale"' '"workers"' '"speedup"' '"lookup_ratio"' \
+             '"ffsub_per_ff_ratio"' '"region_delays_per_region_ratio"' \
+             '"control_network_per_region_ratio"' '"unit_cost"' \
+             '"ffsub_us_per_ff"' '"region_delays_us_per_region"' \
+             '"control_network_us_per_region"' \
              '"points"' '"serial_ns"' '"parallel_ns"'; do
   if ! grep -q "$field" "$scale_json"; then
     echo "error: $scale_json misses field $field" >&2
